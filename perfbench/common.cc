@@ -48,7 +48,7 @@ void AppendFamily(
 
 int PoolThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::clamp<unsigned>(hw, 1, 4));
+  return static_cast<int>(std::clamp<unsigned>(hw, 2, 4)) - 1;
 }
 
 double NowSec() {
@@ -87,6 +87,10 @@ double Quantile(std::vector<double> values, double q) {
   return values[lo] + (values[hi] - values[lo]) * frac;  // May be +inf.
 }
 
+double Fastest(const std::vector<double>& values) {
+  return values.empty() ? 0.0 : *std::min_element(values.begin(), values.end());
+}
+
 uint64_t SubSeed(uint64_t seed, uint64_t stream) {
   // splitmix64 over (seed, stream): distinct, well-mixed stream seeds.
   uint64_t z = seed * 0x9e3779b97f4a7c15ULL + stream * 0xbf58476d1ce4e5b9ULL +
@@ -104,6 +108,11 @@ void Report::EndToEnd(const std::string& name, double value,
 void Report::PerLayer(const std::string& name, double value,
                       const std::string& unit) {
   per_layer_[name] = {value, unit};
+}
+
+void Report::Detail(const std::string& name, double value,
+                    const std::string& unit) {
+  detail_[name] = {value, unit};
 }
 
 void Report::Operation(bool ok, const std::string& what) {
@@ -129,6 +138,14 @@ std::string Report::Json(bool per_layer) const {
       << ", \"metrics\": {";
   AppendFamily(&out, per_layer ? per_layer_ : end_to_end_);
   out << "}}";
+  return out.str();
+}
+
+std::string Report::DetailJson() const {
+  std::ostringstream out;
+  out << "{";
+  AppendFamily(&out, detail_);
+  out << "}";
   return out.str();
 }
 

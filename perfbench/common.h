@@ -33,8 +33,10 @@ struct Args {
   std::string out_dir = ".bench_out";
 };
 
-/// Fixed parallelism of every pool the benchmark creates: at most four
-/// threads, fewer on smaller hosts.
+/// Fixed parallelism of every pool the benchmark creates: one thread less
+/// than min(4, cores), at least one. The thread that calls
+/// ThreadPool::ParallelFor runs queued chunks too, so a loop keeps at most
+/// min(4, cores) threads busy and never oversubscribes the host.
 int PoolThreads();
 
 /// Monotonic clock in seconds / milliseconds.
@@ -53,6 +55,13 @@ double Median(std::vector<double> values);
 double Mean(const std::vector<double>& values);
 double Quantile(std::vector<double> values, double q);
 
+/// The fastest of repeated timings of one operation (0 when empty): the
+/// figure every timed end-to-end metric is built from. The host's
+/// single-thread speed swings by up to 2x over seconds as neighbours load
+/// shared cores; a median follows those swings from run to run, while the
+/// fastest of many short repetitions stays put (perfbench/README.md).
+double Fastest(const std::vector<double>& values);
+
 /// Derives an independent 64-bit seed for one input stream of a run.
 uint64_t SubSeed(uint64_t seed, uint64_t stream);
 
@@ -60,11 +69,16 @@ uint64_t SubSeed(uint64_t seed, uint64_t stream);
 class Report {
  public:
   /// Records a metric (name, value, unit); per-layer metrics are kept
-  /// apart so the driver prints exactly one family per run.
+  /// apart so the driver prints exactly one family per run. Both families
+  /// hold the same names in every workload (BENCHMARK.json); what a name
+  /// measures in each workload is in perfbench/README.md.
   void EndToEnd(const std::string& name, double value,
                 const std::string& unit);
   void PerLayer(const std::string& name, double value,
                 const std::string& unit);
+  /// Records a workload-specific layer figure. Details are not part of the
+  /// result line; the driver writes them to a file of their own.
+  void Detail(const std::string& name, double value, const std::string& unit);
 
   /// Counts one attempted operation; `ok == false` counts it as failed
   /// and logs `what` to stderr.
@@ -79,6 +93,8 @@ class Report {
 
   /// The result line for the requested family.
   std::string Json(bool per_layer) const;
+  /// The details as one JSON object of {name: {value, unit}}.
+  std::string DetailJson() const;
 
  private:
   bool correct_ = true;
@@ -87,6 +103,7 @@ class Report {
   int64_t checks_failed_logged_ = 0;
   std::map<std::string, std::pair<double, std::string>> end_to_end_;
   std::map<std::string, std::pair<double, std::string>> per_layer_;
+  std::map<std::string, std::pair<double, std::string>> detail_;
 };
 
 /// Independent full-ranking reference: for every user with held-out

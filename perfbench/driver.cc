@@ -7,8 +7,11 @@
 //
 // --trace 0 reports the end-to-end metrics; --trace 1 records spans around
 // every call into a layer, writes them to <out-dir>/trace-<workload>-<seed>
-// .jsonl and reports the per-layer metrics instead. Diagnostics go to
-// stderr.
+// .jsonl and reports the per-layer metrics instead. Every workload reports
+// the same metric names. The workload's own layer figures (step phases,
+// evaluation stages, the serving and delta paths) are written to
+// <out-dir>/detail-<workload>-<seed>-trace<0|1>.json and echoed to stderr.
+// Diagnostics go to stderr.
 
 #include <cstdio>
 #include <cstdlib>
@@ -76,6 +79,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   report.EndToEnd("peak_rss_mb", perfbench::PeakRssMb(), "MB");
+  const std::string detail_path = args.out_dir + "/detail-" + args.workload +
+                                  "-" + std::to_string(args.seed) + "-trace" +
+                                  (args.trace ? "1" : "0") + ".json";
+  const std::string detail = report.DetailJson();
+  std::fprintf(stderr, "detail: %s\n", detail.c_str());
+  if (std::FILE* f = std::fopen(detail_path.c_str(), "w")) {
+    std::fprintf(f, "%s\n", detail.c_str());
+    std::fclose(f);
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", detail_path.c_str());
+    return 1;
+  }
   if (args.trace) {
     const std::string path = args.out_dir + "/trace-" + args.workload + "-" +
                              std::to_string(args.seed) + ".jsonl";

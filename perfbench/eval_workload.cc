@@ -4,6 +4,7 @@
 // evaluates each model serially and through the pool (four operations);
 // every pooled result must be bit-identical to the serial one.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,13 +35,16 @@ struct Model {
 
 /// One Evaluate pass assembled from the public calls Evaluate makes, each
 /// stage timed: scoring in batch_users blocks, top-N selection, metrics.
-void ProbeStages(const Model& m, const Data& data,
-                 const imcat::Evaluator& evaluator, Report* report) {
+/// Returns the scoring stage's time (ms) and adds the users it scored to
+/// `*scored_users`.
+double ProbeStages(const Model& m, const Data& data,
+                   const imcat::Evaluator& evaluator, int64_t* scored_users,
+                   Report* report) {
   const std::string prefix = "eval." + m.label + ".";
   m.model->backbone()->InvalidateEvalCache();
   double start = NowMs();
   m.model->PrepareScoring();
-  report->PerLayer(prefix + "prepare_ms", NowMs() - start, "ms");
+  report->Detail(prefix + "prepare_ms", NowMs() - start, "ms");
 
   const std::vector<imcat::ItemSet> relevant =
       evaluator.RelevantSets(data.split.test);
@@ -77,17 +81,19 @@ void ProbeStages(const Model& m, const Data& data,
     }
   }
   report->Check(sink >= 0.0, prefix + "stage probe produced a bad metric");
-  report->PerLayer(prefix + "score_ms", score_ms, "ms");
-  report->PerLayer(prefix + "select_ms", select_ms, "ms");
-  report->PerLayer(prefix + "metrics_ms", metrics_ms, "ms");
+  report->Detail(prefix + "score_ms", score_ms, "ms");
+  report->Detail(prefix + "select_ms", select_ms, "ms");
+  report->Detail(prefix + "metrics_ms", metrics_ms, "ms");
   const double serial_ms = Median(m.serial_s) * 1e3;
-  report->PerLayer(prefix + "stage_share",
+  report->Detail(prefix + "stage_share",
                    serial_ms > 0.0
                        ? (score_ms + select_ms + metrics_ms) / serial_ms
                        : 0.0,
                    "ratio");
-  report->PerLayer(prefix + "pool_speedup",
-                   Median(m.serial_s) / Median(m.pooled_s), "ratio");
+  report->Detail(prefix + "pool_speedup",
+                 Median(m.serial_s) / Median(m.pooled_s), "ratio");
+  *scored_users += static_cast<int64_t>(users.size());
+  return score_ms;
 }
 
 }  // namespace
@@ -170,13 +176,40 @@ void RunEvalFullrank(const Args& args, Report* report) {
         report);
   }
 
+  // The common metrics: latency_ms is one pooled full-rank pass of both
+  // models, latency_alt_ms one serial pass; each model's pass is the
+  // fastest of the rounds.
+  double latency_ms = 0.0, latency_alt_ms = 0.0;
+  for (const Model& m : models) {
+    latency_ms += Fastest(m.pooled_s) * 1e3;
+    latency_alt_ms += Fastest(m.serial_s) * 1e3;
+  }
   report->EndToEnd("setup_s", setup_s, "s");
-  report->EndToEnd("eval.users_per_s", Median(pooled_rate), "users/s");
-  report->EndToEnd("eval.serial_users_per_s", Median(serial_rate), "users/s");
+  report->EndToEnd("latency_ms", latency_ms, "ms");
+  report->EndToEnd("latency_alt_ms", latency_alt_ms, "ms");
   report->PerLayer("data.generate_ms", data.generate_ms, "ms");
   report->PerLayer("data.split_ms", data.split_ms, "ms");
+  report->PerLayer("traced_latency_ms", latency_ms, "ms");
+  report->PerLayer("traced_latency_alt_ms", latency_alt_ms, "ms");
+
+  report->Detail("eval.users_per_s", Median(pooled_rate), "users/s");
+  report->Detail("eval.serial_users_per_s", Median(serial_rate), "users/s");
+  for (const Model& m : models) {
+    report->Detail("eval." + m.label + ".test_recall20", m.serial.recall,
+                   "ratio");
+    report->Detail("eval." + m.label + ".test_ndcg20", m.serial.ndcg,
+                   "ratio");
+  }
   if (Trace::enabled()) {
-    for (const Model& m : models) ProbeStages(m, data, evaluator, report);
+    double score_ms = 0.0;
+    int64_t scored_users = 0;
+    for (const Model& m : models) {
+      score_ms += ProbeStages(m, data, evaluator, &scored_users, report);
+    }
+    report->PerLayer("score_us_per_user",
+                     score_ms * 1e3 /
+                         static_cast<double>(std::max<int64_t>(1, scored_users)),
+                     "us");
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -42,10 +43,11 @@ constexpr int kTopN = 20;
 constexpr int64_t kExportCheckUsers = 32;
 constexpr int kProbeReps = 5;
 
-/// Forwards every call to the L-IMCAT model and opens a span around each
-/// call Fit makes into it: one per TrainStep (named by the phase the step
-/// runs in) and one per validation pass, which starts when the Evaluator
-/// prepares the ranker and ends when training resumes.
+/// Forwards every call to the L-IMCAT model, stamps the start of each epoch
+/// and, in the traced run, opens a span around each call Fit makes into
+/// it: one per TrainStep (named by the phase the step runs in) and one per
+/// validation pass, which starts when the Evaluator prepares the ranker and
+/// ends when training resumes.
 class TracedModel : public imcat::TrainableModel {
  public:
   explicit TracedModel(imcat::ImcatModel* inner) : inner_(inner) {}
@@ -60,6 +62,7 @@ class TracedModel : public imcat::TrainableModel {
   int64_t StepsPerEpoch() const override { return inner_->StepsPerEpoch(); }
   void OnEpochBegin(int64_t epoch) override {
     EndValidation();
+    epoch_starts_.push_back(NowSec());
     inner_->OnEpochBegin(epoch);
   }
   std::vector<imcat::Tensor> Parameters() override {
@@ -89,8 +92,12 @@ class TracedModel : public imcat::TrainableModel {
     validation_span_ = -1;
   }
 
+  /// When each epoch began (NowSec), in order.
+  const std::vector<double>& epoch_starts() const { return epoch_starts_; }
+
  private:
   imcat::ImcatModel* inner_;
+  std::vector<double> epoch_starts_;
   int64_t steps_ = 0;
   mutable int64_t validation_span_ = -1;
 };
@@ -175,7 +182,7 @@ void ProbeStepComponents(imcat::ImcatModel* model, const Data& data,
   imcat::TripletSampler ui(ds.num_users, ds.num_items, data.split.train);
   imcat::TripletSampler vt(ds.num_items, ds.num_tags, ds.item_tags);
   imcat::ItemBatchSampler items(ds.num_items, data.split.train);
-  report->PerLayer("train.sample_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("train.sample_ms", MedianMs(kProbeReps, [&] {
                      imcat::TripletBatch a, b;
                      std::vector<int64_t> anchors;
                      ui.SampleBatch(config.batch_size, &rng, &a, pool);
@@ -184,7 +191,7 @@ void ProbeStepComponents(imcat::ImcatModel* model, const Data& data,
                    }),
                    "ms");
 
-  report->PerLayer("models.propagate_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("models.propagate_ms", MedianMs(kProbeReps, [&] {
                      backbone->BeginStep();
                    }),
                    "ms");
@@ -209,15 +216,15 @@ void ProbeStepComponents(imcat::ImcatModel* model, const Data& data,
     imcat::Backward(loss);
     backward_ms.push_back(NowMs() - start);
   }
-  report->PerLayer("core.ca_batch_ms", Median(ca_ms), "ms");
-  report->PerLayer("core.align_loss_ms", Median(loss_ms), "ms");
-  report->PerLayer("core.align_backward_ms", Median(backward_ms), "ms");
+  report->Detail("core.ca_batch_ms", Median(ca_ms), "ms");
+  report->Detail("core.align_loss_ms", Median(loss_ms), "ms");
+  report->Detail("core.align_backward_ms", Median(backward_ms), "ms");
 
-  report->PerLayer("core.kl_loss_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("core.kl_loss_ms", MedianMs(kProbeReps, [&] {
                      model->clustering().KlLoss(tags);
                    }),
                    "ms");
-  report->PerLayer("core.independence_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("core.independence_ms", MedianMs(kProbeReps, [&] {
                      imcat::IntentIndependenceLoss(
                          backbone->UserEmbeddings(), config.num_intents,
                          config.independence_sample_rows, &rng);
@@ -229,18 +236,18 @@ void ProbeStepComponents(imcat::ImcatModel* model, const Data& data,
                                      config.seed ^ 0x5eedbeefULL);
   clustering.WarmStart(tags, &rng);
   imcat::PositiveSampleIndex index(ds, data.split.train, config.num_intents);
-  report->PerLayer("core.cluster_refresh_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("core.cluster_refresh_ms", MedianMs(kProbeReps, [&] {
                      clustering.UpdateHardAssignments(tags);
                      index.SetAssignments(clustering.assignments());
                    }),
                    "ms");
-  report->PerLayer("core.isa_rebuild_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("core.isa_rebuild_ms", MedianMs(kProbeReps, [&] {
                      index.BuildSimilarSets(config.jaccard_threshold,
                                             config.max_similar_items);
                    }),
                    "ms");
   // Runs last: the step applies the gradients the probes accumulated.
-  report->PerLayer("tensor.adam_step_ms", MedianMs(kProbeReps, [&] {
+  report->Detail("tensor.adam_step_ms", MedianMs(kProbeReps, [&] {
                      model->optimizer()->Step();
                    }),
                    "ms");
@@ -261,12 +268,38 @@ void ProbeStepComponents(imcat::ImcatModel* model, const Data& data,
     ++reps;
   }
   const double seconds = NowSec() - start;
-  report->PerLayer("tensor.gemm_gflops",
+  report->Detail("tensor.gemm_gflops",
                    2.0 * b * b * c * static_cast<double>(reps) / seconds / 1e9,
                    "GFLOP/s");
   const double flops = static_cast<double>(config.num_intents) *
                        (2.0 * b * d * c + 8.0 * b * c * c + 4.0 * b * b * c);
-  report->PerLayer("core.align_gemm_flops", flops, "count");
+  report->Detail("core.align_gemm_flops", flops, "count");
+}
+
+/// Scoring cost per user of the trained model: ScoreItemsForUsers over the
+/// test users in the Evaluator's blocks, a fresh score buffer per block as
+/// in Evaluate. Median of kProbeReps passes.
+double ScoreUsPerUser(const imcat::ImcatModel& model, const Data& data,
+                      const imcat::Evaluator& evaluator) {
+  const std::vector<imcat::ItemSet> relevant =
+      evaluator.RelevantSets(data.split.test);
+  std::vector<int64_t> users;
+  for (int64_t u = 0; u < data.dataset.num_users; ++u) {
+    if (!relevant[static_cast<size_t>(u)].empty()) users.push_back(u);
+  }
+  const size_t batch = static_cast<size_t>(evaluator.batch_users());
+  model.PrepareScoring();
+  const double pass_ms = MedianMs(kProbeReps, [&] {
+    for (size_t lo = 0; lo < users.size(); lo += batch) {
+      const std::vector<int64_t> block(
+          users.begin() + static_cast<std::ptrdiff_t>(lo),
+          users.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(users.size(), lo + batch)));
+      std::vector<float> scores;
+      model.ScoreItemsForUsers(block, &scores);
+    }
+  });
+  return pass_ms * 1e3 / static_cast<double>(std::max<size_t>(1, users.size()));
 }
 
 }  // namespace
@@ -281,7 +314,11 @@ void RunTrainLimcat(const Args& args, Report* report) {
       args.out_dir + "/limcat-export-" + std::to_string(::getpid()) + ".ims";
   const double setup_s = SecondsSinceProcessStart();
 
-  std::vector<double> fit_s;
+  std::vector<double> fit_s, serial_ms, pooled_ms;
+  // Fit's wall time cut at each epoch start: segment 0 runs from the call
+  // to the first epoch, segment e + 1 is epoch e with its validation (the
+  // last one ends when Fit returns). One vector of durations per segment.
+  std::vector<std::vector<double>> segment_s(kEpochs + 1);
   double test_recall = 0.0, test_ndcg = 0.0;
   std::unique_ptr<imcat::ImcatModel> model;
   const uint64_t model_seed = SubSeed(args.seed, 3);
@@ -304,17 +341,24 @@ void RunTrainLimcat(const Args& args, Report* report) {
     options.seed = SubSeed(args.seed, 4);
     options.pool = &pool;
     TracedModel traced(model.get());
-    imcat::TrainableModel* fitted =
-        Trace::enabled() ? static_cast<imcat::TrainableModel*>(&traced)
-                         : model.get();
     const double fit_start = NowSec();
     imcat::TrainHistory history;
     {
       Span span("train.fit");
-      history = imcat::Trainer(&evaluator, &data.split).Fit(fitted, options);
+      history = imcat::Trainer(&evaluator, &data.split).Fit(&traced, options);
       traced.EndValidation();
     }
-    fit_s.push_back(NowSec() - fit_start);
+    const double fit_end = NowSec();
+    fit_s.push_back(fit_end - fit_start);
+    std::vector<double> cuts = {fit_start};
+    cuts.insert(cuts.end(), traced.epoch_starts().begin(),
+                traced.epoch_starts().end());
+    cuts.push_back(fit_end);
+    if (cuts.size() == segment_s.size() + 1) {
+      for (size_t k = 0; k < segment_s.size(); ++k) {
+        segment_s[k].push_back(cuts[k + 1] - cuts[k]);
+      }
+    }
     report->Operation(history.status.ok() && history.epochs_run == kEpochs,
                       "Fit: " + history.status.ToString() + ", " +
                           std::to_string(history.epochs_run) + " epochs");
@@ -323,8 +367,12 @@ void RunTrainLimcat(const Args& args, Report* report) {
     imcat::EvalResult serial, pooled;
     {
       Span span("eval.test");
+      double start = NowMs();
       serial = evaluator.Evaluate(*model, data.split.test, kTopN);
+      serial_ms.push_back(NowMs() - start);
+      start = NowMs();
       pooled = evaluator.Evaluate(*model, data.split.test, kTopN, {}, &pool);
+      pooled_ms.push_back(NowMs() - start);
     }
     report->Operation(serial.num_users > 0, "test evaluation");
     report->Check(BitIdentical(serial, pooled),
@@ -350,14 +398,30 @@ void RunTrainLimcat(const Args& args, Report* report) {
     report->Operation(exported, "L-IMCAT serving export: " + error);
   } while (NowSec() - begin < args.seconds);
 
+  // The common metrics: latency_ms is one Fit, summed over its segments,
+  // each the fastest of the rounds; latency_alt_ms is the fastest serial
+  // test Evaluate of the trained model.
+  double latency_ms = 0.0;
+  for (const std::vector<double>& segment : segment_s) {
+    latency_ms += Fastest(segment) * 1e3;
+  }
+  const double latency_alt_ms = Fastest(serial_ms);
   report->EndToEnd("setup_s", setup_s, "s");
-  report->EndToEnd("train.fit_s", Median(fit_s), "s");
-  report->EndToEnd("train.test_recall20", test_recall, "ratio");
-  report->EndToEnd("train.test_ndcg20", test_ndcg, "ratio");
-
+  report->EndToEnd("latency_ms", latency_ms, "ms");
+  report->EndToEnd("latency_alt_ms", latency_alt_ms, "ms");
   report->PerLayer("data.generate_ms", data.generate_ms, "ms");
   report->PerLayer("data.split_ms", data.split_ms, "ms");
+  report->PerLayer("traced_latency_ms", latency_ms, "ms");
+  report->PerLayer("traced_latency_alt_ms", latency_alt_ms, "ms");
+
+  report->Detail("train.fit_s", Median(fit_s), "s");
+  report->Detail("train.test_serial_ms", Median(serial_ms), "ms");
+  report->Detail("train.test_pooled_ms", Median(pooled_ms), "ms");
+  report->Detail("train.test_recall20", test_recall, "ratio");
+  report->Detail("train.test_ndcg20", test_ndcg, "ratio");
   if (Trace::enabled()) {
+    report->PerLayer("score_us_per_user",
+                     ScoreUsPerUser(*model, data, evaluator), "us");
     const auto totals = Trace::Summarize();
     auto mean_ms = [&](const char* name) {
       auto it = totals.find(name);
@@ -365,19 +429,19 @@ void RunTrainLimcat(const Args& args, Report* report) {
                  ? 0.0
                  : it->second.total_ms / static_cast<double>(it->second.count);
     };
-    report->PerLayer("train.pretrain_step_ms", mean_ms("train.pretrain_step"),
-                     "ms");
-    report->PerLayer("train.joint_step_ms", mean_ms("train.joint_step"), "ms");
-    report->PerLayer("train.validate_ms", mean_ms("train.validate"), "ms");
+    report->Detail("train.pretrain_step_ms", mean_ms("train.pretrain_step"),
+                   "ms");
+    report->Detail("train.joint_step_ms", mean_ms("train.joint_step"), "ms");
+    report->Detail("train.validate_ms", mean_ms("train.validate"), "ms");
     // Share of Fit's wall time the step and validation spans cover.
     auto total = [&](const char* name) {
       auto it = totals.find(name);
       return it == totals.end() ? 0.0 : it->second.total_ms;
     };
     const double fit_ms = total("train.fit");
-    report->PerLayer("train.traced_fit_s",
-                     fit_ms / 1e3 / static_cast<double>(fit_s.size()), "s");
-    report->PerLayer(
+    report->Detail("train.traced_fit_s",
+                   fit_ms / 1e3 / static_cast<double>(fit_s.size()), "s");
+    report->Detail(
         "train.layer_share",
         fit_ms > 0.0 ? (total("train.pretrain_step") +
                         total("train.joint_step") + total("train.validate")) /
