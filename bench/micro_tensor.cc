@@ -1,11 +1,13 @@
 // Micro-benchmarks of the training substrate (google-benchmark): dense
-// GEMM, sparse propagation, embedding gather/scatter, the InfoNCE kernel,
-// autograd overhead, and a full IMCAT training step. These quantify the
+// GEMM, sparse propagation, embedding gather/scatter, the fused InfoNCE
+// and intent-independence ops, autograd overhead, and a full IMCAT
+// training step. These quantify the
 // building blocks behind the Fig. 9 efficiency numbers.
 
 #include <benchmark/benchmark.h>
 
 #include "core/imcat.h"
+#include "core/independence.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "graph/adjacency.h"
@@ -84,23 +86,35 @@ void BM_GatherScatter(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherScatter)->Arg(1000)->Arg(100000);
 
+// The bidirectional InfoNCE of the alignment loss (one intent), forward
+// and backward.
 void BM_InfoNce(benchmark::State& state) {
   const int64_t batch = state.range(0);
   Rng rng(4);
   Tensor a = RandomTensor(batch, 16, &rng, true);
   Tensor b = RandomTensor(batch, 16, &rng, true);
-  std::vector<int64_t> diagonal(batch);
-  for (int64_t i = 0; i < batch; ++i) diagonal[i] = i;
   std::vector<float> weights(batch, 1.0f / batch);
   for (auto _ : state) {
-    Tensor logits = ops::MatMulNT(a, b);
-    Tensor loss = ops::SoftmaxCrossEntropy(logits, diagonal, weights);
+    Tensor loss = ops::SymmetricInfoNce(a, b, 5.0f, weights);
     Backward(loss);
     a.ZeroGrad();
     b.ZeroGrad();
   }
 }
 BENCHMARK(BM_InfoNce)->Arg(128)->Arg(512);
+
+// The intent-independence regulariser on a (rows x 32) table in 4 intent
+// chunks, 64 sampled rows, forward and backward.
+void BM_IntentIndependence(benchmark::State& state) {
+  Rng rng(7);
+  Tensor table = RandomTensor(state.range(0), 32, &rng, true);
+  for (auto _ : state) {
+    Tensor loss = IntentIndependenceLoss(table, 4, 64, &rng);
+    Backward(loss);
+    table.ZeroGrad();
+  }
+}
+BENCHMARK(BM_IntentIndependence)->Arg(1000);
 
 void BM_BprTrainStep(benchmark::State& state) {
   SyntheticConfig config;

@@ -18,7 +18,8 @@
 #   scripts/check.sh --tsan     # tsan leg only (full suite + race/chaos)
 #   scripts/check.sh --chaos    # fault-injection + serving chaos suites
 #   scripts/check.sh --overload # overload/brownout suite (plain + TSan)
-#   scripts/check.sh --kernel   # batched-scoring suite (plain + TSan)
+#   scripts/check.sh --kernel   # kernel suites: batched scoring and the
+#                               # fused training ops (plain + TSan)
 #   scripts/check.sh --store    # snapshot-store durability suite (plain + ASan)
 #   scripts/check.sh --fuzz     # ingestion corruption-fuzz sweep (sanitized)
 #   scripts/check.sh --docs     # docs link check + bench artifact schemas
@@ -155,10 +156,12 @@ if [[ "$run_sanitized" == 1 ]]; then
   # recovery scan over partially-deleted directories, exactly the
   # filename/manifest parsing paths ASan/UBSan should watch.
   (cd build-asan && ctest -L store_fault --output-on-failure --timeout 300)
-  echo "=== sanitized batched-scoring sweep (ctest -L kernel) ==="
+  echo "=== sanitized kernel sweep (ctest -L kernel) ==="
   # The batched kernel and the coalescing drain juggle raw row pointers,
   # stride arithmetic and shared queues; the batch-identity sweep and the
-  # batched accounting chaos test must stay ASan/UBSan-clean.
+  # batched accounting chaos test must stay ASan/UBSan-clean. So must the
+  # fused training ops (SymmetricInfoNce, MeanDistanceCorrelation), whose
+  # forward and backward index B x B and n x n scratch buffers by hand.
   (cd build-asan && ctest -L kernel --output-on-failure --timeout 300)
 fi
 
@@ -206,18 +209,20 @@ if [[ "$run_overload" == 1 ]]; then
 fi
 
 if [[ "$run_kernel" == 1 ]]; then
-  # The batched-scoring suite proves the two batching contracts twice:
+  # The kernel suites: the fused training ops' value, gradient and
+  # equivalence tests, and the batched-scoring suite, which proves the two
+  # batching contracts twice:
   # plain for exact bit-identity (kernel vs scalar loop, TopKBatch vs
   # scalar TopK, batched Evaluate vs per-user), then under TSan because
   # request coalescing moves queue ownership across submitter, drain
   # tickets and cancel callbacks — exactly where a lost wakeup or a torn
   # dequeue would hide. The overload suite rides along: batching must not
   # disturb the admission-control invariants it pins.
-  echo "=== batched-scoring suite, plain build (ctest -L 'kernel|overload') ==="
+  echo "=== kernel suites, plain build (ctest -L 'kernel|overload') ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs"
   (cd build && ctest -L 'kernel|overload' --output-on-failure --timeout 240)
-  echo "=== batched-scoring suite under TSan (ctest -L 'kernel|overload') ==="
+  echo "=== kernel suites under TSan (ctest -L 'kernel|overload') ==="
   cmake -B build-tsan -S . -DIMCAT_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$jobs"
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \

@@ -41,19 +41,26 @@ int64_t FactorModelBase::StepsPerEpoch() const {
   return (sampler_.num_edges() + batch_size_ - 1) / batch_size_;
 }
 
+uint64_t FactorModelBase::ParameterVersion() const {
+  uint64_t version = 0;
+  for (const Tensor& p : parameters_) version += p.version();
+  return version;
+}
+
 void FactorModelBase::PrepareScoring() const {
-  if (cache_valid_) return;
+  if (CacheFresh()) return;
   ComputeEvalFactors(&user_factors_, &item_factors_);
   IMCAT_CHECK_EQ(static_cast<int64_t>(user_factors_.size()),
                  num_users_ * dim_);
   IMCAT_CHECK_EQ(static_cast<int64_t>(item_factors_.size()),
                  num_items_ * dim_);
   cache_valid_ = true;
+  cache_version_ = ParameterVersion();
 }
 
 void FactorModelBase::ScoreItemsForUser(int64_t user,
                                         std::vector<float>* scores) const {
-  if (!cache_valid_) PrepareScoring();
+  if (!CacheFresh()) PrepareScoring();
   scores->assign(num_items_, 0.0f);
   const float* u = user_factors_.data() + user * dim_;
   for (int64_t v = 0; v < num_items_; ++v) {
@@ -66,7 +73,7 @@ void FactorModelBase::ScoreItemsForUser(int64_t user,
 
 void FactorModelBase::ScoreItemsForUsers(const std::vector<int64_t>& users,
                                          std::vector<float>* scores) const {
-  if (!cache_valid_) PrepareScoring();
+  if (!CacheFresh()) PrepareScoring();
   scores->assign(users.size() * static_cast<size_t>(num_items_), 0.0f);
   std::vector<const float*> user_rows(users.size());
   for (size_t i = 0; i < users.size(); ++i) {

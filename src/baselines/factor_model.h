@@ -76,7 +76,16 @@ class FactorModelBase : public TrainableModel {
   int64_t step_ = 0;
   ThreadPool* pool_ = nullptr;  ///< Optional parallel-sampling pool.
 
+  /// Sum of the parameters' version stamps: changes when a restore
+  /// overwrites any of them.
+  uint64_t ParameterVersion() const;
+  /// False after a training step or a restore of any parameter.
+  bool CacheFresh() const {
+    return cache_valid_ && cache_version_ == ParameterVersion();
+  }
+
   mutable bool cache_valid_ = false;
+  mutable uint64_t cache_version_ = 0;  ///< ParameterVersion() cached.
   mutable std::vector<float> user_factors_;
   mutable std::vector<float> item_factors_;
 };

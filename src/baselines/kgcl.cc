@@ -1,7 +1,6 @@
 #include "baselines/kgcl.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/adjacency.h"
 #include "tensor/init.h"
@@ -73,16 +72,10 @@ Tensor Kgcl::BuildLoss(const TripletBatch& batch, Rng* rng) {
   Tensor kg = PropagateKg();
   Tensor cf_items = ops::L2NormalizeRows(ops::Gather(cf, item_nodes));
   Tensor kg_items = ops::L2NormalizeRows(ops::Gather(kg, items));
-  Tensor logits =
-      ops::ScalarMul(ops::MatMulNT(cf_items, kg_items), 1.0f / ssl_tau_);
-  std::vector<int64_t> diagonal(items.size());
-  std::iota(diagonal.begin(), diagonal.end(), 0);
   std::vector<float> weights(items.size(),
                              1.0f / static_cast<float>(items.size()));
-  Tensor logits_t =
-      ops::ScalarMul(ops::MatMulNT(kg_items, cf_items), 1.0f / ssl_tau_);
-  Tensor ssl = ops::Add(ops::SoftmaxCrossEntropy(logits, diagonal, weights),
-                        ops::SoftmaxCrossEntropy(logits_t, diagonal, weights));
+  Tensor ssl =
+      ops::SymmetricInfoNce(cf_items, kg_items, 1.0f / ssl_tau_, weights);
   return ops::Add(ranking, ops::ScalarMul(ssl, 0.5f * ssl_weight_));
 }
 

@@ -1,7 +1,5 @@
 #include "core/alignment.h"
 
-#include <numeric>
-
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -47,9 +45,6 @@ Tensor AlignmentHead::Loss(const Tensor& user_agg,
   IMCAT_CHECK_GT(batch, 0);
   IMCAT_CHECK(config.align_include_item || config.align_include_tag);
 
-  std::vector<int64_t> diagonal(batch);
-  std::iota(diagonal.begin(), diagonal.end(), 0);
-
   const float inv_tau = 1.0f / config.tau;
   Tensor total;
   for (int k = 0; k < num_intents_; ++k) {
@@ -80,13 +75,8 @@ Tensor AlignmentHead::Loss(const Tensor& user_agg,
       z = project(z);
     }
 
-    Tensor logits_u2z = ops::ScalarMul(ops::MatMulNT(u, z), inv_tau);
-    Tensor logits_z2u = ops::ScalarMul(ops::MatMulNT(z, u), inv_tau);
-    Tensor l_u2it =
-        ops::SoftmaxCrossEntropy(logits_u2z, diagonal, row_weights[k]);
-    Tensor l_it2u =
-        ops::SoftmaxCrossEntropy(logits_z2u, diagonal, row_weights[k]);
-    Tensor pair = ops::Add(l_u2it, l_it2u);
+    // L^k_u2it + L^k_it2u (Eqs. 12-13), from one logits GEMM.
+    Tensor pair = ops::SymmetricInfoNce(u, z, inv_tau, row_weights[k]);
     total = total.defined() ? ops::Add(total, pair) : pair;
   }
   return ops::ScalarMul(

@@ -1,5 +1,6 @@
 #include "core/independence.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -7,46 +8,10 @@
 
 namespace imcat {
 
-namespace {
-
-/// Squared distance covariance via dCov^2 = S1 - 2 S2 + S3 over the
-/// pairwise Euclidean distance matrices.
-Tensor SquaredDistanceCovariance(const Tensor& dist_a, const Tensor& dist_b) {
-  const int64_t n = dist_a.rows();
-  const float inv_n2 = 1.0f / static_cast<float>(n * n);
-  // S1 = (1/n^2) sum_ij A_ij B_ij.
-  Tensor s1 = ops::ScalarMul(ops::Sum(ops::Mul(dist_a, dist_b)), inv_n2);
-  // S2 = (1/n^3) sum_i (rowsum A)_i (rowsum B)_i.
-  Tensor s2 = ops::ScalarMul(
-      ops::Sum(ops::Mul(ops::RowSum(dist_a), ops::RowSum(dist_b))),
-      inv_n2 / static_cast<float>(n));
-  // S3 = (1/n^4) (sum A)(sum B).
-  Tensor s3 = ops::ScalarMul(ops::Mul(ops::Sum(dist_a), ops::Sum(dist_b)),
-                             inv_n2 * inv_n2);
-  return ops::Add(ops::Sub(s1, ops::ScalarMul(s2, 2.0f)), s3);
-}
-
-Tensor DistanceMatrix(const Tensor& a) {
-  // sqrt of squared distances, eps-shifted to keep Pow differentiable at 0.
-  return ops::Pow(ops::ScalarAdd(ops::PairwiseSqDist(a, a), 1e-10f), 0.5f);
-}
-
-}  // namespace
-
 Tensor DistanceCorrelation(const Tensor& a, const Tensor& b) {
   IMCAT_CHECK_EQ(a.rows(), b.rows());
-  IMCAT_CHECK_GE(a.rows(), 2);
-  Tensor dist_a = DistanceMatrix(a);
-  Tensor dist_b = DistanceMatrix(b);
-  Tensor dcov_ab =
-      ops::Pow(ops::ScalarAdd(SquaredDistanceCovariance(dist_a, dist_b),
-                              1e-10f),
-               0.5f);
-  Tensor dvar_a = SquaredDistanceCovariance(dist_a, dist_a);
-  Tensor dvar_b = SquaredDistanceCovariance(dist_b, dist_b);
-  Tensor denom =
-      ops::Pow(ops::ScalarAdd(ops::Mul(dvar_a, dvar_b), 1e-10f), 0.25f);
-  return ops::Mul(dcov_ab, ops::Pow(denom, -1.0f));
+  return ops::MeanDistanceCorrelation(ops::ConcatCols({a, b}),
+                                      {a.cols(), b.cols()});
 }
 
 Tensor IntentIndependenceLoss(const Tensor& table, int num_intents,
@@ -58,23 +23,9 @@ Tensor IntentIndependenceLoss(const Tensor& table, int num_intents,
   IMCAT_CHECK_GE(n, 2);
   std::vector<int64_t> indices(n);
   for (int64_t i = 0; i < n; ++i) indices[i] = rng->UniformInt(table.rows());
-  Tensor sampled = ops::Gather(table, indices);
-
-  std::vector<Tensor> chunks;
-  chunks.reserve(num_intents);
-  for (int k = 0; k < num_intents; ++k) {
-    chunks.push_back(ops::SliceCols(sampled, k * chunk, (k + 1) * chunk));
-  }
-  Tensor total;
-  for (int k = 0; k < num_intents; ++k) {
-    for (int j = k + 1; j < num_intents; ++j) {
-      Tensor dcor = DistanceCorrelation(chunks[k], chunks[j]);
-      total = total.defined() ? ops::Add(total, dcor) : dcor;
-    }
-  }
-  const float pairs =
-      static_cast<float>(num_intents) * (num_intents - 1) / 2.0f;
-  return ops::ScalarMul(total, 1.0f / pairs);
+  return ops::MeanDistanceCorrelation(
+      ops::Gather(table, indices),
+      std::vector<int64_t>(static_cast<size_t>(num_intents), chunk));
 }
 
 }  // namespace imcat

@@ -13,13 +13,15 @@ namespace imcat {
 
 /// Sample distance correlation dCor(a, b) between two paired sample
 /// matrices (n x da) and (n x db), as a differentiable (1 x 1) tensor in
-/// [0, ~1]. Uses the standard S1 - 2 S2 + S3 decomposition of the squared
+/// [0, ~1]: the two-block case of ops::MeanDistanceCorrelation, which
+/// uses the standard S1 - 2 S2 + S3 decomposition of the squared
 /// distance covariance.
 Tensor DistanceCorrelation(const Tensor& a, const Tensor& b);
 
-/// Sum of dCor over all pairs of intent chunks, evaluated on
+/// Mean of dCor over all pairs of intent chunks, evaluated on
 /// `sample_rows` randomly sampled rows of `table` (a user or item
-/// embedding table of width d split into `num_intents` chunks). Returns a
+/// embedding table of width d split into `num_intents` chunks) by one
+/// ops::MeanDistanceCorrelation over the gathered sample. Returns a
 /// constant zero tensor when num_intents < 2.
 Tensor IntentIndependenceLoss(const Tensor& table, int num_intents,
                               int64_t sample_rows, Rng* rng);

@@ -77,11 +77,12 @@ void LightGcn::RefreshEvalCache() const {
   for (float& v : sum) v *= scale;
   eval_factors_ = std::move(sum);
   eval_cache_valid_ = true;
+  eval_cache_version_ = base_table_.version();
 }
 
 void LightGcn::ScoreItemsForUser(int64_t user,
                                  std::vector<float>* scores) const {
-  if (!eval_cache_valid_) RefreshEvalCache();
+  if (!EvalCacheFresh()) RefreshEvalCache();
   scores->assign(num_items_, 0.0f);
   const float* u = eval_factors_.data() + user * dim_;
   const float* items = eval_factors_.data() + num_users_ * dim_;

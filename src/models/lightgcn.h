@@ -42,7 +42,7 @@ class LightGcn : public Backbone {
   /// Builds the propagated factor cache up front; required before
   /// concurrent ScoreItemsForUser calls (the cache is shared state).
   void PrepareScoring() const override {
-    if (!eval_cache_valid_) RefreshEvalCache();
+    if (!EvalCacheFresh()) RefreshEvalCache();
   }
   void InvalidateEvalCache() override { eval_cache_valid_ = false; }
 
@@ -50,6 +50,10 @@ class LightGcn : public Backbone {
 
  private:
   void EnsurePropagated();
+  /// False after InvalidateEvalCache() or a restore of base_table_.
+  bool EvalCacheFresh() const {
+    return eval_cache_valid_ && eval_cache_version_ == base_table_.version();
+  }
   void RefreshEvalCache() const;
 
   int64_t num_users_;
@@ -63,6 +67,7 @@ class LightGcn : public Backbone {
   bool propagated_ = false;
 
   mutable bool eval_cache_valid_ = false;
+  mutable uint64_t eval_cache_version_ = 0;  ///< base_table_ version cached.
   mutable std::vector<float> eval_factors_;  ///< (U+V x d) propagated, raw.
 };
 

@@ -309,6 +309,7 @@ Status LoadImpl(const std::string& path, std::vector<Tensor>* tensors,
   for (uint64_t i = 0; i < count; ++i) {
     std::memcpy((*tensors)[i].data(), staged[i].data(),
                 staged[i].size() * sizeof(float));
+    (*tensors)[i].MarkRestored();
   }
   if (state != nullptr && staged_has_state) *state = std::move(staged_state);
   if (has_state != nullptr) *has_state = staged_has_state;

@@ -1,5 +1,6 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -26,11 +27,31 @@ void GemmAccumulate(bool trans_a, bool trans_b, int64_t m, int64_t n,
       }
     }
   } else if (!trans_a && trans_b) {
-    // A (m x k), B (n x k): C_ij += A_i . B_j
+    // A (m x k), B (n x k): C_ij += A_i . B_j. Four columns at a time:
+    // independent accumulators hide the add latency, and each still sums
+    // over p in order, so every entry matches the one-column loop.
     for (int64_t i = 0; i < m; ++i) {
       const float* ai = a + i * k;
       float* ci = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
+      int64_t j = 0;
+      for (; j + 4 <= n; j += 4) {
+        const float* b0 = b + j * k;
+        const float* b1 = b0 + k;
+        const float* b2 = b1 + k;
+        const float* b3 = b2 + k;
+        float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+        for (int64_t p = 0; p < k; ++p) {
+          acc0 += ai[p] * b0[p];
+          acc1 += ai[p] * b1[p];
+          acc2 += ai[p] * b2[p];
+          acc3 += ai[p] * b3[p];
+        }
+        ci[j] += alpha * acc0;
+        ci[j + 1] += alpha * acc1;
+        ci[j + 2] += alpha * acc2;
+        ci[j + 3] += alpha * acc3;
+      }
+      for (; j < n; ++j) {
         const float* bj = b + j * k;
         float acc = 0.0f;
         for (int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
@@ -767,6 +788,258 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
         for (int64_t c = 0; c < cols; ++c)
           gl[r * cols + c] += w * probs[r * cols + c];
         gl[r * cols + targets[r]] -= w;
+      }
+    };
+  }
+  return out;
+}
+
+Tensor SymmetricInfoNce(const Tensor& u, const Tensor& z, float inv_tau,
+                        const std::vector<float>& weights) {
+  IMCAT_CHECK_EQ(u.rows(), z.rows());
+  IMCAT_CHECK_EQ(u.cols(), z.cols());
+  const int64_t b = u.rows(), d = u.cols();
+  IMCAT_CHECK_GT(b, 0);
+  IMCAT_CHECK_EQ(static_cast<int64_t>(weights.size()), b);
+  Tensor out = NewOp("symmetric_info_nce", 1, 1, {u, z});
+  // S = inv_tau * u z^T; the buffer becomes dS once the loss is known.
+  std::vector<float> s(static_cast<size_t>(b * b), 0.0f);
+  GemmAccumulate(false, true, b, b, d, inv_tau, u.data(), z.data(), s.data());
+
+  std::vector<float> row_shift(b, -INFINITY), col_shift(b, -INFINITY);
+  for (int64_t i = 0; i < b; ++i) {
+    const float* si = s.data() + i * b;
+    for (int64_t j = 0; j < b; ++j) {
+      row_shift[i] = std::max(row_shift[i], si[j]);
+      col_shift[j] = std::max(col_shift[j], si[j]);
+    }
+  }
+  // When every row and column max lies within kSharedRange of the global
+  // max, no row or column sum can lose its leading term to fp32
+  // underflow, so one exponential per entry, shifted by the global max,
+  // serves both softmaxes. Otherwise (extreme logits) rows and columns
+  // are shifted by their own max, at two exponentials per entry.
+  constexpr float kSharedRange = 60.0f;
+  const float global = *std::max_element(row_shift.begin(), row_shift.end());
+  const bool shared =
+      *std::min_element(row_shift.begin(), row_shift.end()) >=
+          global - kSharedRange &&
+      *std::min_element(col_shift.begin(), col_shift.end()) >=
+          global - kSharedRange;
+  if (shared) {
+    std::fill(row_shift.begin(), row_shift.end(), global);
+    std::fill(col_shift.begin(), col_shift.end(), global);
+  }
+  std::vector<float> row_exp(static_cast<size_t>(b * b));
+  std::vector<float> col_exp(shared ? 0 : static_cast<size_t>(b * b));
+  std::vector<double> row_sum(b, 0.0), col_sum(b, 0.0);
+  for (int64_t i = 0; i < b; ++i) {
+    const float* si = s.data() + i * b;
+    float* ri = row_exp.data() + i * b;
+    for (int64_t j = 0; j < b; ++j) {
+      ri[j] = std::exp(si[j] - row_shift[i]);
+      row_sum[i] += ri[j];
+    }
+    if (shared) {
+      for (int64_t j = 0; j < b; ++j) col_sum[j] += ri[j];
+    } else {
+      float* ci = col_exp.data() + i * b;
+      for (int64_t j = 0; j < b; ++j) {
+        ci[j] = std::exp(si[j] - col_shift[j]);
+        col_sum[j] += ci[j];
+      }
+    }
+  }
+  double loss = 0.0;
+  for (int64_t i = 0; i < b; ++i) {
+    const double diag = s[i * b + i];
+    const double row_lse = row_shift[i] + std::log(row_sum[i]);
+    const double col_lse = col_shift[i] + std::log(col_sum[i]);
+    loss += weights[i] * ((row_lse - diag) + (col_lse - diag));
+  }
+  out.data()[0] = static_cast<float>(loss);
+
+  if (NeedsGrad(out)) {
+    // dS_ij = w_i P_ij + w_j Q_ij - 2 w_i [i=j], with P_ij = row_exp_ij /
+    // row_sum_i and Q_ij = col_exp_ij / col_sum_j.
+    const std::vector<float>& col_src = shared ? row_exp : col_exp;
+    std::vector<float> row_scale(b), col_scale(b);
+    for (int64_t i = 0; i < b; ++i) {
+      row_scale[i] = static_cast<float>(weights[i] / row_sum[i]);
+      col_scale[i] = static_cast<float>(weights[i] / col_sum[i]);
+    }
+    for (int64_t i = 0; i < b; ++i) {
+      float* si = s.data() + i * b;
+      const float* ri = row_exp.data() + i * b;
+      const float* ci = col_src.data() + i * b;
+      for (int64_t j = 0; j < b; ++j) {
+        si[j] = ri[j] * row_scale[i] + ci[j] * col_scale[j];
+      }
+      si[i] -= 2.0f * weights[i];
+    }
+    auto un = u.node_ptr(), zn = z.node_ptr();
+    Node* on = out.node_ptr().get();
+    out.node_ptr()->backward_fn = [un, zn, on, ds = std::move(s), b, d,
+                                   inv_tau]() {
+      const float alpha = on->grad[0] * inv_tau;
+      if (un->requires_grad) {
+        un->EnsureGrad();
+        // dU = alpha dS Z : (b x b)(b x d)
+        GemmAccumulate(false, false, b, d, b, alpha, ds.data(),
+                       zn->data.data(), un->grad.data());
+      }
+      if (zn->requires_grad) {
+        zn->EnsureGrad();
+        // dZ = alpha dS^T U : (b x b)^T (b x d)
+        GemmAccumulate(true, false, b, d, b, alpha, ds.data(),
+                       un->data.data(), zn->grad.data());
+      }
+    };
+  }
+  return out;
+}
+
+Tensor MeanDistanceCorrelation(const Tensor& x,
+                               const std::vector<int64_t>& widths) {
+  const int64_t n = x.rows(), cols = x.cols();
+  const int64_t blocks = static_cast<int64_t>(widths.size());
+  IMCAT_CHECK_GE(n, 2);
+  IMCAT_CHECK_GE(blocks, 2);
+  std::vector<int64_t> offsets(blocks + 1, 0);
+  for (int64_t k = 0; k < blocks; ++k) {
+    IMCAT_CHECK_GT(widths[k], 0);
+    offsets[k + 1] = offsets[k] + widths[k];
+  }
+  IMCAT_CHECK_EQ(offsets[blocks], cols);
+  Tensor out = NewOp("mean_distance_correlation", 1, 1, {x});
+  constexpr float kEps = 1e-10f;
+  const int64_t nn = n * n;
+  const float* px = x.data();
+
+  // Per block: the distance matrix, its row sums and its total.
+  std::vector<float> dist(static_cast<size_t>(blocks * nn));
+  std::vector<double> row_sums(static_cast<size_t>(blocks * n), 0.0);
+  std::vector<double> totals(blocks, 0.0);
+  const float diagonal = std::sqrt(kEps);
+  for (int64_t k = 0; k < blocks; ++k) {
+    float* dk = dist.data() + k * nn;
+    double* rk = row_sums.data() + k * n;
+    for (int64_t i = 0; i < n; ++i) {
+      const float* xi = px + i * cols + offsets[k];
+      dk[i * n + i] = diagonal;
+      for (int64_t j = i + 1; j < n; ++j) {
+        const float* xj = px + j * cols + offsets[k];
+        float sq = 0.0f;
+        for (int64_t c = 0; c < widths[k]; ++c) {
+          const float diff = xi[c] - xj[c];
+          sq += diff * diff;
+        }
+        dk[i * n + j] = dk[j * n + i] = std::sqrt(sq + kEps);
+      }
+      for (int64_t j = 0; j < n; ++j) rk[i] += dk[i * n + j];
+      totals[k] += rk[i];
+    }
+  }
+
+  // dCov^2 of every pair (k, l), the diagonal being dVar^2.
+  const double inv_n2 = 1.0 / static_cast<double>(nn);
+  const double inv_n3 = inv_n2 / static_cast<double>(n);
+  std::vector<double> dcov2(static_cast<size_t>(blocks * blocks));
+  for (int64_t k = 0; k < blocks; ++k) {
+    for (int64_t l = k; l < blocks; ++l) {
+      const float* dk = dist.data() + k * nn;
+      const float* dl = dist.data() + l * nn;
+      double s1 = 0.0, s2 = 0.0;
+      for (int64_t e = 0; e < nn; ++e) {
+        s1 += static_cast<double>(dk[e]) * dl[e];
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        s2 += row_sums[k * n + i] * row_sums[l * n + i];
+      }
+      dcov2[k * blocks + l] = dcov2[l * blocks + k] =
+          s1 * inv_n2 - 2.0 * s2 * inv_n3 +
+          totals[k] * totals[l] * inv_n2 * inv_n2;
+    }
+  }
+
+  // Mean dCor over pairs, and g_kl = dL/d dCov^2(k,l) for the backward:
+  // off the diagonal for the pair's numerator, on it for the
+  // denominators (doubled there, since dVar^2(k) has D^k in both
+  // arguments).
+  const double pairs = static_cast<double>(blocks * (blocks - 1) / 2);
+  std::vector<double> coef(static_cast<size_t>(blocks * blocks), 0.0);
+  double loss = 0.0;
+  for (int64_t k = 0; k < blocks; ++k) {
+    for (int64_t l = k + 1; l < blocks; ++l) {
+      const double var_kk = dcov2[k * blocks + k];
+      const double var_ll = dcov2[l * blocks + l];
+      const double num = std::sqrt(dcov2[k * blocks + l] + kEps);
+      const double den_sq = var_kk * var_ll + kEps;
+      const double den = std::pow(den_sq, 0.25);
+      const double dcor = num / den;
+      loss += dcor;
+      coef[k * blocks + l] = coef[l * blocks + k] = 0.5 / (num * den) / pairs;
+      coef[k * blocks + k] += -2.0 * dcor * var_ll / (4.0 * den_sq) / pairs;
+      coef[l * blocks + l] += -2.0 * dcor * var_kk / (4.0 * den_sq) / pairs;
+    }
+  }
+  out.data()[0] = static_cast<float>(loss / pairs);
+
+  if (NeedsGrad(out)) {
+    auto xn = x.node_ptr();
+    Node* on = out.node_ptr().get();
+    out.node_ptr()->backward_fn = [xn, on, n, cols, blocks, widths, offsets,
+                                   dist = std::move(dist),
+                                   row_sums = std::move(row_sums),
+                                   totals = std::move(totals),
+                                   coef = std::move(coef), inv_n2, inv_n3]() {
+      if (!xn->requires_grad) return;
+      xn->EnsureGrad();
+      const float g = on->grad[0];
+      const int64_t nn = n * n;
+      const float* px = xn->data.data();
+      float* gx = xn->grad.data();
+      std::vector<float> h(static_cast<size_t>(nn));
+      std::vector<double> rho(n);
+      std::vector<float> acc;
+      for (int64_t k = 0; k < blocks; ++k) {
+        // H = (G^k + G^k^T) / D^k; G^k's row term is rho, its constant tau.
+        double tau = 0.0;
+        std::fill(rho.begin(), rho.end(), 0.0);
+        std::fill(h.begin(), h.end(), 0.0f);
+        for (int64_t l = 0; l < blocks; ++l) {
+          const double c = coef[k * blocks + l];
+          tau += c * totals[l] * inv_n2 * inv_n2;
+          for (int64_t i = 0; i < n; ++i) rho[i] += c * row_sums[l * n + i];
+          const float scale = static_cast<float>(2.0 * c * inv_n2);
+          const float* dl = dist.data() + l * nn;
+          for (int64_t e = 0; e < nn; ++e) h[e] += scale * dl[e];
+        }
+        // The diagonal is skipped: x_i - x_i = 0, and 1 / D_ii = 1e5
+        // would only add rounding noise.
+        const float* dk = dist.data() + k * nn;
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            const double shift = 2.0 * tau - 2.0 * (rho[i] + rho[j]) * inv_n3;
+            const float hij = static_cast<float>(h[i * n + j] + shift);
+            h[i * n + j] = i == j ? 0.0f : g * hij / dk[i * n + j];
+          }
+        }
+        // dx_i^k += sum_j H_ij (x_i^k - x_j^k).
+        const int64_t w = widths[k];
+        for (int64_t i = 0; i < n; ++i) {
+          const float* hi = h.data() + i * n;
+          const float* xi = px + i * cols + offsets[k];
+          float* gi = gx + i * cols + offsets[k];
+          acc.assign(static_cast<size_t>(w), 0.0f);
+          float h_sum = 0.0f;
+          for (int64_t j = 0; j < n; ++j) {
+            const float* xj = px + j * cols + offsets[k];
+            h_sum += hi[j];
+            for (int64_t c = 0; c < w; ++c) acc[c] += hi[j] * xj[c];
+          }
+          for (int64_t c = 0; c < w; ++c) gi[c] += h_sum * xi[c] - acc[c];
+        }
       }
     };
   }

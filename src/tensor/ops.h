@@ -113,11 +113,39 @@ Tensor PairwiseSqDist(const Tensor& a, const Tensor& b);
 /// Weighted softmax cross-entropy over rows of a logits matrix:
 ///   loss = sum_i weights[i] * ( -log softmax(logits_i)[targets[i]] ).
 /// `targets` and `weights` have logits.rows() entries; `weights` is a plain
-/// constant (no gradient flows into it). Result (1 x 1). This is the
-/// InfoNCE primitive (Eqs. 12-13 with the M_{j,k} re-weighting).
+/// constant (no gradient flows into it). Result (1 x 1).
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int64_t>& targets,
                            const std::vector<float>& weights);
+
+/// Bidirectional weighted InfoNCE over paired rows of `u` and `z` (both
+/// B x c): the InfoNCE primitive (Eqs. 12-13 with the M_{j,k}
+/// re-weighting). With S = inv_tau * u z^T and P, Q its row and column
+/// softmax,
+///   loss = sum_i weights[i] * ( -log P_ii - log Q_ii ),
+/// i.e. SoftmaxCrossEntropy over S and over S^T with diagonal targets,
+/// built from one GEMM and one exponential per entry of S. Gradient, with
+/// dS_ij = weights[i] (P_ij - [i=j]) + weights[j] (Q_ij - [i=j]):
+///   dU = inv_tau dS Z,  dZ = inv_tau dS^T U.
+/// `weights` is a plain constant. Result (1 x 1).
+Tensor SymmetricInfoNce(const Tensor& u, const Tensor& z, float inv_tau,
+                        const std::vector<float>& weights);
+
+/// Mean sample distance correlation over all pairs of column blocks of `x`
+/// (n x sum(widths)); block k is the next `widths[k]` columns. Each block's
+/// distance matrix D^k_ij = sqrt(|x_i^k - x_j^k|^2 + 1e-10) is built once,
+/// with its row sums R^k and total T^k; then for every pair of blocks
+///   dCov^2(k,l) = sum_ij D^k_ij D^l_ij / n^2 - 2 sum_i R^k_i R^l_i / n^3
+///                 + T^k T^l / n^4,
+///   dCor(k,l) = sqrt(dCov^2(k,l) + eps) / (dVar^2(k) dVar^2(l) + eps)^(1/4),
+/// with dVar^2(k) = dCov^2(k,k). Gradient: with g_kl = dL/d dCov^2(k,l)
+/// (g_kk counted for both arguments), block k's coefficient matrix is
+///   G^k_ij = sum_l g_kl (D^l_ij / n^2 - 2 R^l_i / n^3 + T^l / n^4),
+/// and, with H = (G^k + G^k^T) / D^k elementwise,
+///   dx_i^k = sum_j H_ij (x_i^k - x_j^k).
+/// Needs n >= 2 and at least two blocks. Result (1 x 1).
+Tensor MeanDistanceCorrelation(const Tensor& x,
+                               const std::vector<int64_t>& widths);
 
 /// Matrix transpose.
 Tensor Transpose(const Tensor& a);

@@ -37,6 +37,8 @@ struct TensorNode {
   // Accumulates this node's grad into its parents' grads.
   std::function<void()> backward_fn;
   std::string op_name;  // For error messages / debugging.
+  // Bumped by writes that bypass the optimiser (parameter restores).
+  uint64_t version = 0;
 
   void EnsureGrad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
@@ -96,6 +98,13 @@ class Tensor {
   }
 
   bool requires_grad() const { return node()->requires_grad; }
+
+  /// Version stamp of the values: MarkRestored() bumps it after a restore
+  /// overwrites them (best-epoch restore, rollback, checkpoint resume), so
+  /// caches derived from the values can tell they are stale even when the
+  /// restore reached the tensor through a wrapper model.
+  uint64_t version() const { return node()->version; }
+  void MarkRestored() { ++node()->version; }
 
   /// Zeroes the gradient buffer (no-op if never allocated).
   void ZeroGrad();

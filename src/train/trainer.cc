@@ -30,6 +30,7 @@ void RestoreParameters(TrainableModel* model,
     IMCAT_CHECK_EQ(static_cast<size_t>(params[i].size()), snapshot[i].size());
     std::memcpy(params[i].data(), snapshot[i].data(),
                 snapshot[i].size() * sizeof(float));
+    params[i].MarkRestored();
   }
 }
 
@@ -438,6 +439,10 @@ TrainHistory Trainer::Fit(TrainableModel* model,
 
   if (options.restore_best && !best_snapshot.empty()) {
     RestoreParameters(model, best_snapshot);
+    // The restore made the eval caches stale (their version stamps no
+    // longer match); rebuild them now, as the last validation did for the
+    // last epoch, so Fit returns a model ready to score.
+    model->PrepareScoring();
   }
   history.train_seconds = train_seconds;
   history.lr_scale = lr_scale;

@@ -7,6 +7,7 @@
 #include "tensor/autograd.h"
 #include "tensor/init.h"
 #include "tensor/optimizer.h"
+#include "tests/gradcheck.h"
 
 namespace imcat {
 namespace {
@@ -87,6 +88,24 @@ TEST(AlignmentHeadTest, ZeroWeightsZeroLoss) {
   Tensor loss = fx.head.Loss(fx.user_agg, fx.tag_aggs, fx.item_embs,
                              fx.weights, config);
   EXPECT_NEAR(loss.item(), 0.0f, 1e-6f);
+}
+
+TEST(AlignmentHeadTest, GradcheckWithRowWeights) {
+  // Gradients reach the user, tag and item inputs through the projection
+  // heads and the per-intent symmetric InfoNCE, with M-style row weights
+  // that differ per intent (one row weighted zero).
+  AlignmentFixture fx;
+  fx.weights[0] = {0.9f, 0.1f, 0.0f, 0.5f, 0.3f, 0.7f};
+  fx.weights[1] = {0.1f, 0.9f, 1.0f, 0.5f, 0.7f, 0.3f};
+  ImcatConfig config;
+  config.num_intents = AlignmentFixture::kIntents;
+  testing::ExpectGradientsMatch(
+      [&](const std::vector<Tensor>& in) {
+        return fx.head.Loss(in[0], {in[1], in[2]}, {in[3], in[4]},
+                            fx.weights, config);
+      },
+      {fx.user_agg, fx.tag_aggs[0], fx.tag_aggs[1], fx.item_embs[0],
+       fx.item_embs[1]});
 }
 
 TEST(AlignmentHeadTest, OptimisationAlignsPositivePairs) {

@@ -189,6 +189,44 @@ TEST(SglTest, AugmentationViewsResampledEachEpoch) {
   EXPECT_TRUE(std::isfinite(loss_b));
 }
 
+// After Fit restores the best epoch, a factor baseline scores with the
+// restored parameters, not with the factor cache its last validation
+// built: it evaluates exactly as a fresh model holding those parameters.
+TEST(FactorModelTest, RestoredBestEpochScoresWithRestoredParameters) {
+  BaselineWorkbench wb;
+  ModelFactoryOptions options = wb.Options();
+  options.adam.learning_rate = 0.5f;  // Noisy: the best epoch is early.
+  auto trained = CreateModel("KGCL", wb.ds, wb.split, options);
+  auto fresh = CreateModel("KGCL", wb.ds, wb.split, options);
+  ASSERT_TRUE(trained.ok() && fresh.ok());
+
+  TrainerOptions trainer_options;
+  trainer_options.max_epochs = 8;
+  trainer_options.eval_every = 1;
+  trainer_options.patience = trainer_options.max_epochs + 1;
+  trainer_options.restore_best = true;
+  trainer_options.seed = 3;
+  const TrainHistory history = Trainer(&wb.evaluator, &wb.split)
+                                   .Fit(trained.value().get(), trainer_options);
+  ASSERT_TRUE(history.status.ok()) << history.status.ToString();
+  ASSERT_LT(history.best_epoch, history.epochs_run);
+
+  std::vector<Tensor> restored = trained.value()->Parameters();
+  std::vector<Tensor> copies = fresh.value()->Parameters();
+  ASSERT_EQ(restored.size(), copies.size());
+  for (size_t i = 0; i < restored.size(); ++i) {
+    std::copy(restored[i].data(), restored[i].data() + restored[i].size(),
+              copies[i].data());
+  }
+  const EvalResult served =
+      wb.evaluator.Evaluate(*trained.value(), wb.split.test, 20);
+  const EvalResult expected =
+      wb.evaluator.Evaluate(*fresh.value(), wb.split.test, 20);
+  EXPECT_EQ(served.recall, expected.recall);
+  EXPECT_EQ(served.ndcg, expected.ndcg);
+  EXPECT_EQ(served.mrr, expected.mrr);
+}
+
 TEST(TgcnTest, HandlesItemsWithoutTags) {
   Dataset ds;
   ds.num_users = 2;

@@ -38,6 +38,7 @@ using ops::Sigmoid;
 using ops::SliceCols;
 using ops::SoftmaxCrossEntropy;
 using ops::SpMM;
+using ops::SymmetricInfoNce;
 using ops::Sub;
 using ops::Sum;
 using ops::Tanh;
@@ -394,6 +395,103 @@ TEST(OpsGradTest, SoftmaxCrossEntropy) {
         return SoftmaxCrossEntropy(in[0], {1, 0, 2}, {1.0f, 0.5f, 2.0f});
       },
       {RandomTensor(3, 4, &rng)});
+}
+
+TEST(OpsGradTest, SymmetricInfoNceNonUniformWeights) {
+  // Non-uniform weights with one zero-weight row: that row still receives
+  // gradient as a negative of the other rows.
+  Rng rng(38);
+  ExpectGradientsMatch(
+      [](const std::vector<Tensor>& in) {
+        return SymmetricInfoNce(in[0], in[1], 2.5f,
+                                {1.0f, 0.0f, 0.3f, 2.0f, 0.7f});
+      },
+      {RandomTensor(5, 3, &rng), RandomTensor(5, 3, &rng)});
+}
+
+TEST(OpsGradTest, SymmetricInfoNceLargeLogits) {
+  // S_00 = 95 while row 3 peaks at 3.5: the row and column ranges exceed
+  // the shared exponential's safe range, so each softmax is shifted by
+  // its own max.
+  ExpectGradientsMatch(
+      [](const std::vector<Tensor>& in) {
+        return SymmetricInfoNce(in[0], in[1], 50.0f,
+                                {0.5f, 1.0f, 0.0f, 1.5f});
+      },
+      {Tensor(4, 2, {1.0f, 1.0f, -0.8f, 0.6f, 0.3f, -0.9f, 0.05f, -0.05f},
+              true),
+       Tensor(4, 2, {0.9f, 1.0f, -0.7f, 0.5f, 0.4f, -1.0f, 0.1f, 0.2f},
+              true)},
+      /*abs_tol=*/5e-2, /*rel_tol=*/2e-2, /*delta=*/1e-4f);
+}
+
+// The composition SymmetricInfoNce replaces: two logits products and two
+// row-softmax cross-entropies with diagonal targets.
+Tensor TwoCrossEntropies(const Tensor& u, const Tensor& z, float inv_tau,
+                         const std::vector<float>& weights) {
+  std::vector<int64_t> diagonal(static_cast<size_t>(u.rows()));
+  for (size_t i = 0; i < diagonal.size(); ++i) {
+    diagonal[i] = static_cast<int64_t>(i);
+  }
+  return Add(
+      SoftmaxCrossEntropy(ScalarMul(MatMulNT(u, z), inv_tau), diagonal,
+                          weights),
+      SoftmaxCrossEntropy(ScalarMul(MatMulNT(z, u), inv_tau), diagonal,
+                          weights));
+}
+
+double RelativeError(const std::vector<float>& got,
+                     const std::vector<float>& want) {
+  double err = 0.0, norm = 0.0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    err += (static_cast<double>(got[i]) - want[i]) *
+           (static_cast<double>(got[i]) - want[i]);
+    norm += static_cast<double>(want[i]) * want[i];
+  }
+  return std::sqrt(err / norm);
+}
+
+// Value and gradients of the fused op against the composition, at the
+// alignment loss's shape (B = 128 rows, chunk width 8) and on logits
+// large enough to take the per-row/per-column shift path.
+TEST(OpsEquivalenceTest, SymmetricInfoNceMatchesTwoCrossEntropies) {
+  for (const float inv_tau : {5.0f, 400.0f}) {
+    Rng rng(40);
+    const int64_t batch = 128, width = 8;
+    Tensor u = RandomTensor(batch, width, &rng);
+    Tensor z = RandomTensor(batch, width, &rng);
+    std::vector<float> weights(static_cast<size_t>(batch));
+    for (float& w : weights) w = static_cast<float>(rng.Uniform(0.0, 1.0));
+    weights[3] = 0.0f;
+
+    Tensor fused = SymmetricInfoNce(u, z, inv_tau, weights);
+    Backward(fused);
+    const std::vector<float> fused_du = u.grad_vector();
+    const std::vector<float> fused_dz = z.grad_vector();
+    u.ZeroGrad();
+    z.ZeroGrad();
+    Tensor reference = TwoCrossEntropies(u, z, inv_tau, weights);
+    Backward(reference);
+
+    EXPECT_NEAR(fused.item(), reference.item(),
+                1e-5 * std::fabs(reference.item()))
+        << "inv_tau " << inv_tau;
+    EXPECT_LT(RelativeError(fused_du, u.grad_vector()), 1e-5)
+        << "inv_tau " << inv_tau;
+    EXPECT_LT(RelativeError(fused_dz, z.grad_vector()), 1e-5)
+        << "inv_tau " << inv_tau;
+  }
+}
+
+TEST(OpsForwardTest, SymmetricInfoNceHugeLogitsStayFinite) {
+  // exp of these logits overflows fp32 and double alike without a shift.
+  Tensor u(2, 1, {1.0f, -1.0f}, true);
+  Tensor z(2, 1, {1.0f, 0.5f}, true);
+  Tensor loss = SymmetricInfoNce(u, z, 1e4f, {1.0f, 1.0f});
+  Backward(loss);
+  EXPECT_TRUE(std::isfinite(loss.item()));
+  for (float g : u.grad_vector()) EXPECT_TRUE(std::isfinite(g));
+  for (float g : z.grad_vector()) EXPECT_TRUE(std::isfinite(g));
 }
 
 TEST(OpsGradTest, SharedInputAccumulatesBothPaths) {

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/imcat.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "models/lightgcn.h"
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
@@ -254,6 +256,82 @@ TEST(TrainerTest, HistoryRecordsValidationCurve) {
   EXPECT_EQ(history.points[0].epoch, 2);
   EXPECT_EQ(history.points[1].epoch, 4);
   EXPECT_GE(history.train_seconds, 0.0);
+}
+
+// Forwards only the TrainableModel methods, as an instrumentation wrapper
+// does: Fit never sees the inner model or its backbone.
+class ForwardingModel : public TrainableModel {
+ public:
+  explicit ForwardingModel(TrainableModel* inner) : inner_(inner) {}
+
+  double TrainStep(Rng* rng) override { return inner_->TrainStep(rng); }
+  int64_t StepsPerEpoch() const override { return inner_->StepsPerEpoch(); }
+  void OnEpochBegin(int64_t epoch) override { inner_->OnEpochBegin(epoch); }
+  std::vector<Tensor> Parameters() override { return inner_->Parameters(); }
+  AdamOptimizer* optimizer() override { return inner_->optimizer(); }
+  std::string name() const override { return inner_->name(); }
+  void ScoreItemsForUser(int64_t user,
+                         std::vector<float>* scores) const override {
+    inner_->ScoreItemsForUser(user, scores);
+  }
+  void PrepareScoring() const override { inner_->PrepareScoring(); }
+
+ private:
+  TrainableModel* inner_;
+};
+
+// The restored best-epoch parameters are what the model serves after Fit:
+// LightGCN's propagated eval cache, built from the last epoch's
+// parameters during its validation, must not outlive the restore.
+TEST(TrainerTest, RestoredLightGcnScoresWithRestoredParameters) {
+  SyntheticConfig data_config;
+  data_config.num_users = 60;
+  data_config.num_items = 90;
+  data_config.num_tags = 24;
+  data_config.num_interactions = 1600;
+  data_config.num_item_tags = 500;
+  data_config.seed = 21;
+  const Dataset ds = GenerateSynthetic(data_config);
+  const DataSplit split = SplitByUser(ds, SplitOptions{});
+  Evaluator evaluator(ds, split);
+
+  BackboneOptions backbone;
+  backbone.embedding_dim = 16;
+  ImcatConfig config;
+  config.num_intents = 2;
+  config.batch_size = 256;
+  config.ca_batch_size = 64;
+  config.pretrain_steps = 12;
+  config.cluster_refresh_steps = 5;
+  config.independence_sample_rows = 24;
+  AdamOptions adam;
+  adam.learning_rate = 0.05f;  // Noisy enough that the best epoch is early.
+  ImcatModel model(std::make_unique<LightGcn>(ds.num_users, ds.num_items,
+                                              split.train, backbone),
+                   ds, split, config, adam);
+
+  TrainerOptions options;
+  options.max_epochs = 8;
+  options.eval_every = 1;
+  options.patience = options.max_epochs + 1;
+  options.restore_best = true;
+  options.seed = 3;
+  ForwardingModel wrapper(&model);
+  const TrainHistory history =
+      Trainer(&evaluator, &split).Fit(&wrapper, options);
+  ASSERT_TRUE(history.status.ok()) << history.status.ToString();
+  ASSERT_LT(history.best_epoch, history.epochs_run);
+
+  const EvalResult served = evaluator.Evaluate(model, split.test, 20);
+  model.backbone()->InvalidateEvalCache();
+  const EvalResult rebuilt = evaluator.Evaluate(model, split.test, 20);
+  EXPECT_EQ(served.recall, rebuilt.recall);
+  EXPECT_EQ(served.ndcg, rebuilt.ndcg);
+  EXPECT_EQ(served.mrr, rebuilt.mrr);
+  // And the restored parameters are the best epoch's: validation repeats
+  // the best recorded score.
+  EXPECT_EQ(evaluator.Evaluate(model, split.validation, 20).recall,
+            history.best_validation.recall);
 }
 
 // A minimal factor model — exactly two parameter tensors (user table then
